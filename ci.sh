@@ -30,8 +30,8 @@ RUSTFLAGS="${RUSTFLAGS:-} -D deprecated" cargo check --workspace --all-targets
 echo "==> serial build (--no-default-features: parallel kernels and obs instrumentation off)"
 cargo build --workspace --no-default-features
 
-echo "==> serial kernel tests (incl. the sharded-scheduling sweep, the session differential + repair + telemetry suites, and the zero-sized no-op recorders)"
-cargo test -q --no-default-features -p wagg-sinr -p wagg-conflict -p wagg-fading -p wagg-engine -p wagg-partition -p wagg-session -p wagg-obs
+echo "==> serial kernel tests (incl. the sharded-scheduling sweep, the session differential + repair + telemetry suites, the zero-sized no-op recorders, and the Euclidean MST differential suite)"
+cargo test -q --no-default-features -p wagg-sinr -p wagg-conflict -p wagg-fading -p wagg-engine -p wagg-partition -p wagg-session -p wagg-obs -p wagg-mst -p wagg-instances
 
 echo "==> wire codec hostility + service differential suites, serial build"
 cargo test -q --no-default-features -p wagg-wire -p wagg-service
@@ -81,6 +81,9 @@ if [[ "$MODE" != "quick" ]]; then
   echo "==> service smoke test (service example: open/churn/solve/snapshot/restore/health + typed Busy under overload)"
   cargo run --release -q --example service \
     | grep "service OK" || { echo "service smoke test failed"; exit 1; }
+
+  echo "==> benchmark determinism self-test (perfbench, read-only: seeded work counts repeat across traced runs)"
+  CARGO_TARGET_DIR=.bench_build cargo test -q --release --manifest-path perfbench/Cargo.toml
 
   echo "==> perf regression gate (bench_gate --check against BENCH_gate.json)"
   # Generous tolerance: the gate catches order-of-magnitude slips (an

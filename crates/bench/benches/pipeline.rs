@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wagg_conflict::{greedy_color, ConflictGraph, ConflictRelation};
 use wagg_core::{AggregationProblem, Backend, PowerMode, Session};
-use wagg_instances::random::uniform_square;
+use wagg_instances::random::{clustered, uniform_square};
 use wagg_mst::euclidean_mst;
 use wagg_schedule::SchedulerConfig;
 use wagg_sinr::power_control::is_feasible_with_power_control;
@@ -21,6 +21,14 @@ fn bench_mst(c: &mut Criterion) {
             b.iter(|| euclidean_mst(&inst.points).unwrap().edges().len())
         });
     }
+    // The benchmark's aggregate_mst deployment shape: 100 clusters of 100 nodes,
+    // high length diversity.
+    let inst = clustered(100, 100, 100_000.0, 1.0, 7);
+    group.bench_with_input(
+        BenchmarkId::new("clustered", inst.points.len()),
+        &inst,
+        |b, inst| b.iter(|| euclidean_mst(&inst.points).unwrap().edges().len()),
+    );
     group.finish();
 }
 

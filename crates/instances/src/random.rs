@@ -2,8 +2,15 @@
 
 use crate::Instance;
 use rand::Rng;
+use std::collections::HashSet;
 use wagg_geometry::rng::{derive_seed, seeded_rng};
 use wagg_geometry::Point;
+
+/// The exact coordinates of a point, with `-0.0` folded into `+0.0`, so two
+/// generated points share a key exactly when they coincide.
+fn coordinates(p: Point) -> (u64, u64) {
+    ((p.x + 0.0).to_bits(), (p.y + 0.0).to_bits())
+}
 
 /// `n` nodes uniformly at random in an axis-aligned square of side `side`,
 /// with node 0 as the sink.
@@ -30,9 +37,10 @@ pub fn uniform_square(n: usize, side: f64, seed: u64) -> Instance {
     assert!(side > 0.0, "side must be positive");
     let mut rng = seeded_rng(seed);
     let mut points: Vec<Point> = Vec::with_capacity(n);
+    let mut taken = HashSet::with_capacity(n);
     while points.len() < n {
         let p = Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side));
-        if points.iter().all(|q| q.distance_squared(p) > 0.0) {
+        if taken.insert(coordinates(p)) {
             points.push(p);
         }
     }
@@ -50,15 +58,14 @@ pub fn uniform_disk(n: usize, radius: f64, seed: u64) -> Instance {
     assert!(radius > 0.0, "radius must be positive");
     let mut rng = seeded_rng(seed);
     let mut points: Vec<Point> = Vec::with_capacity(n);
+    let mut taken = HashSet::with_capacity(n);
     while points.len() < n {
         // Rejection sampling from the bounding square keeps the distribution uniform.
         let p = Point::new(
             rng.gen_range(-radius..radius),
             rng.gen_range(-radius..radius),
         );
-        if p.distance(Point::origin()) <= radius
-            && points.iter().all(|q| q.distance_squared(p) > 0.0)
-        {
+        if p.distance(Point::origin()) <= radius && taken.insert(coordinates(p)) {
             points.push(p);
         }
     }
@@ -110,6 +117,7 @@ pub fn clustered(
     );
     let mut rng = seeded_rng(seed);
     let mut points = Vec::with_capacity(clusters * per_cluster);
+    let mut taken = HashSet::with_capacity(clusters * per_cluster);
     for c in 0..clusters {
         let mut centre_rng = seeded_rng(derive_seed(seed, c as u64));
         let centre = Point::new(
@@ -122,7 +130,7 @@ pub fn clustered(
                 centre.x + rng.gen_range(-cluster_radius..cluster_radius),
                 centre.y + rng.gen_range(-cluster_radius..cluster_radius),
             );
-            if points.iter().all(|q: &Point| q.distance_squared(p) > 0.0) {
+            if taken.insert(coordinates(p)) {
                 points.push(p);
                 placed += 1;
             }
@@ -186,6 +194,121 @@ mod tests {
         let inst = clustered(4, 8, 1000.0, 1.0, 5);
         assert_eq!(inst.points.len(), 32);
         assert!(inst.length_diversity().unwrap() > 20.0);
+    }
+
+    /// The generators as they were with an `O(n²)` scan for a coincident point.
+    mod quadratic {
+        use super::*;
+
+        fn fresh(points: &[Point], p: Point) -> bool {
+            points.iter().all(|q| q.distance_squared(p) > 0.0)
+        }
+
+        pub fn uniform_square(n: usize, side: f64, seed: u64) -> Vec<Point> {
+            let mut rng = seeded_rng(seed);
+            let mut points = Vec::with_capacity(n);
+            while points.len() < n {
+                let p = Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side));
+                if fresh(&points, p) {
+                    points.push(p);
+                }
+            }
+            points
+        }
+
+        pub fn uniform_disk(n: usize, radius: f64, seed: u64) -> Vec<Point> {
+            let mut rng = seeded_rng(seed);
+            let mut points = Vec::with_capacity(n);
+            while points.len() < n {
+                let p = Point::new(
+                    rng.gen_range(-radius..radius),
+                    rng.gen_range(-radius..radius),
+                );
+                if p.distance(Point::origin()) <= radius && fresh(&points, p) {
+                    points.push(p);
+                }
+            }
+            points
+        }
+
+        pub fn clustered(
+            clusters: usize,
+            per_cluster: usize,
+            side: f64,
+            cluster_radius: f64,
+            seed: u64,
+        ) -> Vec<Point> {
+            let mut rng = seeded_rng(seed);
+            let mut points = Vec::with_capacity(clusters * per_cluster);
+            for c in 0..clusters {
+                let mut centre_rng = seeded_rng(derive_seed(seed, c as u64));
+                let centre = Point::new(
+                    centre_rng.gen_range(0.0..side),
+                    centre_rng.gen_range(0.0..side),
+                );
+                let mut placed = 0;
+                while placed < per_cluster {
+                    let p = Point::new(
+                        centre.x + rng.gen_range(-cluster_radius..cluster_radius),
+                        centre.y + rng.gen_range(-cluster_radius..cluster_radius),
+                    );
+                    if fresh(&points, p) {
+                        points.push(p);
+                        placed += 1;
+                    }
+                }
+            }
+            points
+        }
+    }
+
+    /// Bit-for-bit equality, so `-0.0` and `0.0` would not pass for each other.
+    fn same_bits(a: &[Point], b: &[Point]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(p, q)| p.x.to_bits() == q.x.to_bits() && p.y.to_bits() == q.y.to_bits())
+    }
+
+    #[test]
+    fn hashed_rejection_matches_the_quadratic_scan() {
+        for seed in [0, 1, 7, 42, 801] {
+            for (n, side) in [(300, 100.0), (400, 1e-3)] {
+                let hashed = uniform_square(n, side, seed);
+                assert!(same_bits(
+                    &hashed.points,
+                    &quadratic::uniform_square(n, side, seed)
+                ));
+                let hashed = uniform_disk(n, side, seed);
+                assert!(same_bits(
+                    &hashed.points,
+                    &quadratic::uniform_disk(n, side, seed)
+                ));
+            }
+            // Radii down to a few ulps of the centres force coincident draws
+            // that must be rejected.
+            for (clusters, per_cluster, side, radius) in [
+                (10, 40, 100_000.0, 1.0),
+                (3, 60, 1.0, 1e-15),
+                (4, 30, 0.0001, 1e-19),
+            ] {
+                let hashed = clustered(clusters, per_cluster, side, radius, seed);
+                let scanned = quadratic::clustered(clusters, per_cluster, side, radius, seed);
+                assert!(same_bits(&hashed.points, &scanned));
+            }
+        }
+    }
+
+    #[test]
+    fn coordinates_fold_negative_zero() {
+        assert_eq!(
+            coordinates(Point::new(-0.0, 1.0)),
+            coordinates(Point::new(0.0, 1.0))
+        );
+        assert_ne!(
+            coordinates(Point::new(1.0, 2.0)),
+            coordinates(Point::new(2.0, 1.0))
+        );
     }
 
     #[test]

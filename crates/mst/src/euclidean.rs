@@ -1,18 +1,27 @@
 //! Euclidean MST construction.
 //!
-//! Three constructions are provided:
+//! Every construction here returns the minimum spanning tree under one strict
+//! total order on the candidate edges: by [`Point::distance`], then by the smaller
+//! endpoint index, then by the larger. Under that order the MST is unique, ties in
+//! length included, so the constructions agree edge for edge wherever they apply.
 //!
-//! * [`euclidean_mst`] — Prim's algorithm in `O(n²)` time and `O(n)` memory, the
-//!   workhorse for planar pointsets up to a few thousand nodes,
-//! * [`kruskal_mst`] — Kruskal's algorithm over all `O(n²)` candidate edges, used
-//!   as an independent cross-check in tests and by the k-connectivity spanner
-//!   (which needs edge filtering),
+//! * [`euclidean_mst`] — Borůvka's algorithm over a kd-tree (March, Ram & Gray,
+//!   KDD 2010): `O(log n)` rounds of `n` pruned nearest-foreign-neighbour
+//!   searches, each touching `O(log n)` tree nodes on well-spread planar
+//!   deployments, so `O(n log² n)` expected time, and `O(n)` memory. The
+//!   workhorse, for any pointset size,
+//! * [`kruskal_mst`] — Kruskal's algorithm over all `O(n²)` candidate edges,
+//!   sorted by the same order; the test oracle for [`euclidean_mst`] and the
+//!   construction the k-connectivity spanner uses (it needs edge filtering),
 //! * [`line_mst`] — the specialised construction for points on a line, where the
 //!   unique MST simply connects each point to its neighbours in sorted order
 //!   (used by the paper's lower-bound constructions, which all live on the line).
 
+use crate::kdtree::{Candidate, KdTree};
 use crate::tree::{Edge, SpanningTree};
 use crate::MstError;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use wagg_geometry::Point;
 
 /// Checks a pointset for validity: at least two points, no duplicates.
@@ -36,13 +45,23 @@ fn validate_points(points: &[Point]) -> Result<(), MstError> {
     Ok(())
 }
 
-/// Builds the Euclidean minimum spanning tree of a planar pointset with Prim's
-/// algorithm (`O(n²)` time).
+/// Builds the Euclidean minimum spanning tree of a planar pointset.
+///
+/// Borůvka's algorithm over a kd-tree: each round, every point searches the tree
+/// for its nearest point in another component, pruning subtrees that lie wholly
+/// in its own component or strictly farther than the best edge its component has
+/// found so far; each component's first outgoing edge (in the module's edge
+/// order) joins the tree. `O(n log² n)` expected time and `O(n)` memory on
+/// planar deployments. The edge set equals [`kruskal_mst`]`(points, &[])` on every
+/// input, and [`SpanningTree::edges`] lists it in the order Prim's algorithm
+/// grown from node 0 attaches the nodes: by length, ties to the smaller new node.
 ///
 /// # Errors
 ///
 /// Returns [`MstError::TooFewPoints`] for fewer than two points and
-/// [`MstError::DuplicatePoints`] if two points coincide.
+/// [`MstError::DuplicatePoints`] if two points coincide, naming the
+/// lexicographically smallest such pair. Returns [`MstError::NotASpanningTree`]
+/// if non-finite coordinates leave some point without a comparable edge.
 ///
 /// # Examples
 ///
@@ -59,44 +78,107 @@ fn validate_points(points: &[Point]) -> Result<(), MstError> {
 /// assert_eq!(tree.total_length(), 10.0);
 /// ```
 pub fn euclidean_mst(points: &[Point]) -> Result<SpanningTree, MstError> {
-    validate_points(points)?;
+    if points.len() < 2 {
+        return Err(MstError::TooFewPoints {
+            found: points.len(),
+        });
+    }
+    let edges = boruvka(points)?;
+    SpanningTree::new(points.to_vec(), prim_order(points, &edges))
+}
+
+/// The MST's edges, in the order Borůvka's rounds find them, for `n ≥ 2` points.
+fn boruvka(points: &[Point]) -> Result<Vec<Edge>, MstError> {
     let n = points.len();
-    let mut in_tree = vec![false; n];
-    let mut best_dist = vec![f64::INFINITY; n];
-    let mut best_from = vec![0usize; n];
+    let kd = KdTree::new(points);
+    let mut dsu = DisjointSets::new(n);
+    // Component labels (input index of the union–find root) in tree order, and
+    // the first outgoing edge of each component, indexed by its label.
+    let mut comp = vec![0usize; n];
+    let mut node_comp = vec![0usize; kd.node_count()];
+    let mut best = vec![Candidate::NONE; n];
+    let mut stack = Vec::new();
     let mut edges = Vec::with_capacity(n - 1);
-
-    in_tree[0] = true;
-    for v in 1..n {
-        best_dist[v] = points[0].distance(points[v]);
-        best_from[v] = 0;
-    }
-
-    for _ in 1..n {
-        // Pick the non-tree node closest to the tree.
-        let mut u = usize::MAX;
-        let mut u_dist = f64::INFINITY;
-        for v in 0..n {
-            if !in_tree[v] && best_dist[v] < u_dist {
-                u = v;
-                u_dist = best_dist[v];
+    while edges.len() < n - 1 {
+        for (label, &i) in comp.iter_mut().zip(kd.order()) {
+            *label = dsu.find(i);
+            best[*label] = Candidate::NONE;
+        }
+        kd.mark_components(&comp, &mut node_comp);
+        for q in 0..n {
+            kd.offer_foreign(q, &comp, &node_comp, &mut best[comp[q]], &mut stack);
+        }
+        if edges.is_empty() {
+            // First round: every component is a single point, so `best` holds
+            // each point's nearest neighbour. A coincident pair shows up there,
+            // and the smallest zero-length candidate is the smallest such pair.
+            if let Some(dup) = best
+                .iter()
+                .filter(|c| c.length == 0.0)
+                .min_by_key(|c| (c.a, c.b))
+            {
+                return Err(MstError::DuplicatePoints {
+                    first: dup.a,
+                    second: dup.b,
+                });
             }
         }
-        debug_assert_ne!(u, usize::MAX, "pointset should be connected");
-        in_tree[u] = true;
-        edges.push(Edge::new(best_from[u], u));
-        for v in 0..n {
-            if !in_tree[v] {
-                let d = points[u].distance(points[v]);
-                if d < best_dist[v] {
-                    best_dist[v] = d;
-                    best_from[v] = u;
-                }
+        let before = edges.len();
+        for (&i, &label) in kd.order().iter().zip(&comp) {
+            let c = best[label];
+            if i == label && c != Candidate::NONE && dsu.union(c.a, c.b) {
+                edges.push(Edge::new(c.a, c.b));
             }
         }
+        if edges.len() == before {
+            return Err(MstError::NotASpanningTree {
+                reason: "non-finite coordinates leave points unconnected",
+            });
+        }
     }
+    Ok(edges)
+}
 
-    SpanningTree::new(points.to_vec(), edges)
+/// Lists a spanning tree's edges in the order Prim's algorithm grown from node 0
+/// attaches the nodes: the shortest edge leaving the grown part first, ties to
+/// the smaller new node.
+fn prim_order(points: &[Point], edges: &[Edge]) -> Vec<Edge> {
+    // Compressed adjacency: the neighbours of `u` are
+    // `neighbours[start[u]..start[u + 1]]`.
+    let mut start = vec![0usize; points.len() + 1];
+    for e in edges {
+        start[e.a + 1] += 1;
+        start[e.b + 1] += 1;
+    }
+    for u in 0..points.len() {
+        start[u + 1] += start[u];
+    }
+    let mut fill = start.clone();
+    let mut neighbours = vec![0usize; 2 * edges.len()];
+    for e in edges {
+        for (u, v) in [(e.a, e.b), (e.b, e.a)] {
+            neighbours[fill[u]] = v;
+            fill[u] += 1;
+        }
+    }
+    let mut attached = vec![false; points.len()];
+    let mut frontier = BinaryHeap::new();
+    let mut ordered = Vec::with_capacity(edges.len());
+    let attach = |u: usize, attached: &mut [bool], frontier: &mut BinaryHeap<_>| {
+        attached[u] = true;
+        for &v in &neighbours[start[u]..start[u + 1]] {
+            if !attached[v] {
+                // Lengths are non-negative, so their bit patterns sort like them.
+                frontier.push(Reverse((points[u].distance(points[v]).to_bits(), v, u)));
+            }
+        }
+    };
+    attach(0, &mut attached, &mut frontier);
+    while let Some(Reverse((_, v, u))) = frontier.pop() {
+        ordered.push(Edge::new(u, v));
+        attach(v, &mut attached, &mut frontier);
+    }
+    ordered
 }
 
 /// Builds the Euclidean MST with Kruskal's algorithm, optionally excluding a set of
@@ -104,7 +186,8 @@ pub fn euclidean_mst(points: &[Point]) -> Result<SpanningTree, MstError> {
 ///
 /// # Errors
 ///
-/// Returns the same validation errors as [`euclidean_mst`], and
+/// Returns [`MstError::TooFewPoints`] for fewer than two points,
+/// [`MstError::DuplicatePoints`] if two points coincide, and
 /// [`MstError::NotASpanningTree`] if the allowed edges cannot connect the pointset
 /// (possible only when `forbidden` is non-empty).
 ///
@@ -188,7 +271,7 @@ pub fn line_mst(points: &[Point]) -> Result<SpanningTree, MstError> {
     SpanningTree::new(points.to_vec(), edges)
 }
 
-/// A small union–find structure used by Kruskal's algorithm.
+/// A small union–find structure used by Kruskal's and Borůvka's algorithms.
 #[derive(Debug)]
 struct DisjointSets {
     parent: Vec<usize>,

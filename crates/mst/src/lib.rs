@@ -4,8 +4,11 @@
 //! pointset, oriented towards the sink, as its convergecast tree (Theorem 1).
 //! This crate provides:
 //!
-//! * [`euclidean`] — MST construction over planar pointsets (Prim `O(n²)`,
-//!   Kruskal, and a specialised linear-time routine for points on a line),
+//! * [`euclidean`] — MST construction over planar pointsets: kd-tree Borůvka in
+//!   `O(n log² n)` expected time, Kruskal in `O(n² log n)` as its oracle, and a
+//!   specialised `O(n log n)` sort for points on a line. All three return the
+//!   unique MST under the edge order (length, smaller endpoint index, larger
+//!   endpoint index), so they agree edge for edge, ties included,
 //! * [`tree`] — the [`SpanningTree`](tree::SpanningTree) type, orientation towards
 //!   a sink into a set of convergecast [`Link`](wagg_sinr::Link)s, and structural
 //!   statistics (depth, degrees),
@@ -40,6 +43,7 @@ pub mod approx;
 pub mod error;
 pub mod euclidean;
 pub mod kconnect;
+mod kdtree;
 pub mod sparsity;
 pub mod tree;
 

@@ -213,6 +213,12 @@ impl SpanningTree {
     ///
     /// Returns [`MstError::NodeOutOfRange`] if `sink` is not a valid node index.
     pub fn parents(&self, sink: usize) -> Result<Vec<Option<usize>>, MstError> {
+        Ok(self.breadth_first(sink)?.0)
+    }
+
+    /// The parent of each node in the tree rooted at `sink`, and the nodes in the
+    /// breadth-first order they were reached (the sink first).
+    fn breadth_first(&self, sink: usize) -> Result<(Vec<Option<usize>>, Vec<usize>), MstError> {
         if sink >= self.points.len() {
             return Err(MstError::NodeOutOfRange {
                 index: sink,
@@ -222,19 +228,21 @@ impl SpanningTree {
         let adj = self.adjacency();
         let mut parent: Vec<Option<usize>> = vec![None; self.points.len()];
         let mut seen = vec![false; self.points.len()];
-        let mut queue = VecDeque::new();
-        queue.push_back(sink);
+        let mut order = Vec::with_capacity(self.points.len());
+        order.push(sink);
         seen[sink] = true;
-        while let Some(u) = queue.pop_front() {
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
             for &v in &adj[u] {
                 if !seen[v] {
                     seen[v] = true;
                     parent[v] = Some(u);
-                    queue.push_back(v);
+                    order.push(v);
                 }
             }
         }
-        Ok(parent)
+        Ok((parent, order))
     }
 
     /// Hop depth of each node below `sink` (the sink has depth 0).
@@ -243,18 +251,13 @@ impl SpanningTree {
     ///
     /// Returns [`MstError::NodeOutOfRange`] if `sink` is not a valid node index.
     pub fn depths(&self, sink: usize) -> Result<Vec<usize>, MstError> {
-        let parent = self.parents(sink)?;
+        let (parent, order) = self.breadth_first(sink)?;
         let mut depth = vec![0usize; self.points.len()];
-        // Nodes are processed in BFS order in `parents`, but we recompute here by
-        // walking up; the tree is small enough that the O(n · depth) walk is fine.
-        for (v, slot) in depth.iter_mut().enumerate() {
-            let mut d = 0;
-            let mut cur = v;
-            while let Some(p) = parent[cur] {
-                d += 1;
-                cur = p;
+        // Breadth-first order reaches every parent before its children.
+        for &v in &order[1..] {
+            if let Some(p) = parent[v] {
+                depth[v] = depth[p] + 1;
             }
-            *slot = d;
         }
         Ok(depth)
     }
@@ -489,6 +492,32 @@ mod tests {
         assert_eq!(links.len(), 5);
         for (k, l) in links.iter().enumerate() {
             assert_eq!(l.id.index(), k);
+        }
+    }
+
+    #[test]
+    fn depths_match_a_walk_to_the_sink_on_random_trees() {
+        use rand::Rng;
+        let mut rng = wagg_geometry::rng::seeded_rng(23);
+        for _ in 0..20 {
+            let n = rng.gen_range(2..200);
+            let points: Vec<Point> = (0..n).map(|i| Point::on_line(i as f64)).collect();
+            let edges: Vec<Edge> = (1..n).map(|v| Edge::new(v, rng.gen_range(0..v))).collect();
+            let tree = SpanningTree::new(points, edges).unwrap();
+            for sink in [0, n / 2, n - 1] {
+                let parent = tree.parents(sink).unwrap();
+                let walked: Vec<usize> = (0..n)
+                    .map(|v| {
+                        let (mut d, mut cur) = (0, v);
+                        while let Some(p) = parent[cur] {
+                            d += 1;
+                            cur = p;
+                        }
+                        d
+                    })
+                    .collect();
+                assert_eq!(tree.depths(sink).unwrap(), walked);
+            }
         }
     }
 
