@@ -18,13 +18,12 @@ cargo fmt --all --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> deprecation gate (no in-tree caller uses the legacy entry points)"
-# The session facade is the one scheduling surface; the legacy free
-# functions (schedule_links, schedule_mst, schedule_sharded[_with]) survive
-# only as #[deprecated] forwarders for downstream code. Building the whole
-# workspace with deprecation warnings promoted to errors proves nothing
-# internal still calls them (differential tests opt back in with
-# #[allow(deprecated)] — that is their job).
+echo "==> deprecation gate (no in-tree caller uses a deprecated API)"
+# The session facade is the one scheduling surface and the legacy free
+# forwarders are gone. Building the whole workspace with deprecation
+# warnings promoted to errors keeps it that way: any API marked
+# #[deprecated] later (in-tree or in a dependency) fails here until its
+# in-tree callers move off it.
 RUSTFLAGS="${RUSTFLAGS:-} -D deprecated" cargo check --workspace --all-targets
 
 echo "==> serial build (--no-default-features: parallel kernels and obs instrumentation off)"

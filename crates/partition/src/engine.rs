@@ -44,12 +44,10 @@ use crate::verify::VerifierStrategy;
 use crate::ShardedReport;
 use std::collections::BTreeMap;
 use wagg_engine::{EngineConfig, EngineError, InterferenceEngine};
-use wagg_geometry::logmath::{log_log2, log_star};
 use wagg_geometry::tiling::TileLayout;
 use wagg_geometry::{BoundingBox, Point};
 use wagg_obs::Recorder;
-use wagg_schedule::{Schedule, ScheduleReport, SchedulerConfig};
-use wagg_sinr::link::link_diversity;
+use wagg_schedule::SchedulerConfig;
 use wagg_sinr::Link;
 
 #[cfg(feature = "parallel")]
@@ -491,6 +489,23 @@ impl PartitionedEngine {
     /// reusing every shard engine's incrementally maintained conflict state
     /// (member graphs are engine snapshots — no geometric rebuild).
     pub fn schedule(&self) -> ShardedReport {
+        self.schedule_pipeline(false).0
+    }
+
+    /// [`PartitionedEngine::schedule`] plus every link's warm-start repair
+    /// budget from the verification pass: `budgets[i]` is
+    /// [`AffectanceVerifier::budgets`](crate::AffectanceVerifier::budgets)
+    /// of [`PartitionedEngine::links`]`[i]`'s final slot under the configured
+    /// strategy, `None` without certified verification (verification off,
+    /// no fixed power assignment, or a noisy model). The budgets travel
+    /// beside the report: [`ShardedReport`] equality is the
+    /// strategy-invariance contract, and budget values depend on the
+    /// strategy.
+    pub fn schedule_with_budgets(&self) -> (ShardedReport, Option<Vec<f64>>) {
+        self.schedule_pipeline(true)
+    }
+
+    fn schedule_pipeline(&self, want_budgets: bool) -> (ShardedReport, Option<Vec<f64>>) {
         let config = self.config.scheduler;
         let root = self.recorder.span("partition");
         let assemble_phase = root.child("assemble");
@@ -545,32 +560,11 @@ impl PartitionedEngine {
             &owner_of,
             config,
             self.config.verifier,
+            want_budgets,
             &self.recorder,
         );
         root.finish();
-
-        let diversity = link_diversity(&links).unwrap_or(1.0);
-        let report = ScheduleReport {
-            verified_slots: outcome.slots.len(),
-            coloring_slots: outcome.coloring_slots,
-            schedule: Schedule::new(outcome.slots),
-            diversity,
-            log_star_diversity: log_star(diversity),
-            log_log_diversity: log_log2(diversity),
-            mode: config.mode,
-            num_links: links.len(),
-        };
-        ShardedReport {
-            report,
-            shards: self.engines.len(),
-            radius: self.radius,
-            boundary_links: outcome.boundary_links,
-            repaired_links: outcome.repaired_links,
-            evicted_links: outcome.evicted_links,
-            max_owned: outcome.max_owned,
-            mean_owned: outcome.mean_owned,
-            ghost_fraction: outcome.ghost_fraction,
-        }
+        outcome.into_report(&links, config, self.engines.len(), self.radius)
     }
 }
 

@@ -63,10 +63,8 @@ pub use layout::{conflict_radius_bound, max_conflict_radius, PartitionLayout};
 pub use verify::{AffectanceVerifier, VerifierStrategy};
 
 use serde::{Deserialize, Serialize};
-use wagg_geometry::logmath::{log_log2, log_star};
 use wagg_obs::Recorder;
-use wagg_schedule::{BackendKind, Schedule, ScheduleReport, SchedulerConfig, SolveReport};
-use wagg_sinr::link::link_diversity;
+use wagg_schedule::{BackendKind, ScheduleReport, SchedulerConfig, SolveReport};
 use wagg_sinr::Link;
 
 /// The outcome of a sharded scheduling run: the regular [`ScheduleReport`]
@@ -117,36 +115,6 @@ impl From<ShardedReport> for SolveReport {
             health: None,
         }
     }
-}
-
-/// Schedules `links` under `config` across roughly `target_shards` spatial
-/// shards.
-#[deprecated(
-    since = "0.2.0",
-    note = "schedule through `wagg_core::session::Session` (explicit `Backend::Sharded` reproduces \
-            this entry point slot for slot); the session backend itself wraps `solve_sharded`"
-)]
-pub fn schedule_sharded(
-    links: &[Link],
-    config: SchedulerConfig,
-    target_shards: usize,
-) -> ShardedReport {
-    solve_sharded(links, config, target_shards, VerifierStrategy::default())
-}
-
-/// [`schedule_sharded`] with an explicit far-field [`VerifierStrategy`].
-#[deprecated(
-    since = "0.2.0",
-    note = "schedule through `wagg_core::session::Session` (configure the strategy with \
-            `SessionBuilder::verifier`); the session backend itself wraps `solve_sharded`"
-)]
-pub fn schedule_sharded_with(
-    links: &[Link],
-    config: SchedulerConfig,
-    target_shards: usize,
-    strategy: VerifierStrategy,
-) -> ShardedReport {
-    solve_sharded(links, config, target_shards, strategy)
 }
 
 /// The sharded scheduling pipeline: tiles the link set by [`PartitionLayout`],
@@ -228,40 +196,18 @@ pub fn solve_sharded_traced(
             owner_of[piece.member_globals[local]] = (pi as u32, local as u32);
         }
     }
-    let outcome = pipeline::schedule_pieces(
-        &plinks, &pieces, &boundary, &owner_of, config, strategy, rec,
+    let mut outcome = pipeline::schedule_pieces(
+        &plinks, &pieces, &boundary, &owner_of, config, strategy, false, rec,
     );
 
     // Back to the caller's indices; degenerate links close the schedule as
     // singleton slots.
-    let mut slots: Vec<Vec<usize>> = outcome
-        .slots
-        .into_iter()
-        .map(|slot| slot.into_iter().map(|i| positive[i]).collect())
-        .collect();
-    slots.extend(degenerate.iter().map(|&d| vec![d]));
-
-    let diversity = link_diversity(links).unwrap_or(1.0);
-    let report = ScheduleReport {
-        verified_slots: slots.len(),
-        coloring_slots: outcome.coloring_slots + degenerate.len(),
-        schedule: Schedule::new(slots),
-        diversity,
-        log_star_diversity: log_star(diversity),
-        log_log_diversity: log_log2(diversity),
-        mode: config.mode,
-        num_links: links.len(),
-    };
-    root.finish();
-    ShardedReport {
-        report,
-        shards: layout.shards(),
-        radius: layout.radius(),
-        boundary_links: outcome.boundary_links,
-        repaired_links: outcome.repaired_links,
-        evicted_links: outcome.evicted_links,
-        max_owned: outcome.max_owned,
-        mean_owned: outcome.mean_owned,
-        ghost_fraction: outcome.ghost_fraction,
+    for i in outcome.slots.iter_mut().flatten() {
+        *i = positive[*i];
     }
+    outcome.slots.extend(degenerate.iter().map(|&d| vec![d]));
+    outcome.coloring_slots += degenerate.len();
+    let (sharded, _) = outcome.into_report(links, config, layout.shards(), layout.radius());
+    root.finish();
+    sharded
 }

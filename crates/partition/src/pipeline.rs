@@ -36,13 +36,22 @@
 //!    `is_feasible_by_affectance`. Power modes without a fixed assignment
 //!    (global control) and noisy models use
 //!    [`split_class_into_feasible`] instead, the unsharded path's exact
-//!    splitter.
+//!    splitter. On request the pass also yields every link's warm-start
+//!    repair budget ([`AffectanceVerifier::budgets`] of its final slot):
+//!    a slot kept whole reuses the totals its verification sweep already
+//!    computed, and only slots that lost members and first-fit repacked
+//!    slots are priced again (`partition.budget_recomputes`).
 
 use crate::layout::PartitionLayout;
 use crate::verify::{AffectanceVerifier, VerifierStrategy};
+use crate::ShardedReport;
 use wagg_conflict::{ConflictGraph, ConflictRelation};
+use wagg_geometry::logmath::{log_log2, log_star};
 use wagg_obs::Recorder;
-use wagg_schedule::{schedule_prebuilt, split_class_into_feasible, SchedulerConfig};
+use wagg_schedule::{
+    schedule_prebuilt, split_class_into_feasible, Schedule, ScheduleReport, SchedulerConfig,
+};
+use wagg_sinr::link::link_diversity;
 use wagg_sinr::{Link, PathLossCache};
 
 #[cfg(feature = "parallel")]
@@ -85,6 +94,48 @@ pub(crate) struct PipelineOutcome {
     /// divided by the owned total (0.0 for an empty universe) — the halo
     /// replication overhead of the tiling.
     pub ghost_fraction: f64,
+    /// Per-link warm repair budgets, `budgets[i]` for link `i` — exactly
+    /// [`AffectanceVerifier::budgets`] of the link's final slot. `Some` only
+    /// when requested and the certified verifier ran (verification on, a
+    /// fixed power assignment, a noise-free model).
+    pub budgets: Option<Vec<f64>>,
+}
+
+impl PipelineOutcome {
+    /// The [`ShardedReport`] of a realised tiling (`shards` tiles sized for
+    /// conflict radius `radius`) over the caller's universe `links`, whose
+    /// indices `slots` already use, and the budgets beside it.
+    pub(crate) fn into_report(
+        self,
+        links: &[Link],
+        config: SchedulerConfig,
+        shards: usize,
+        radius: f64,
+    ) -> (ShardedReport, Option<Vec<f64>>) {
+        let diversity = link_diversity(links).unwrap_or(1.0);
+        let report = ScheduleReport {
+            verified_slots: self.slots.len(),
+            coloring_slots: self.coloring_slots,
+            schedule: Schedule::new(self.slots),
+            diversity,
+            log_star_diversity: log_star(diversity),
+            log_log_diversity: log_log2(diversity),
+            mode: config.mode,
+            num_links: links.len(),
+        };
+        let sharded = ShardedReport {
+            report,
+            shards,
+            radius,
+            boundary_links: self.boundary_links,
+            repaired_links: self.repaired_links,
+            evicted_links: self.evicted_links,
+            max_owned: self.max_owned,
+            mean_owned: self.mean_owned,
+            ghost_fraction: self.ghost_fraction,
+        };
+        (sharded, self.budgets)
+    }
 }
 
 /// Builds every shard's [`ShardPieces`] from a [`PartitionLayout`]: member
@@ -138,7 +189,9 @@ pub(crate) fn build_pieces(
 /// Runs the full pipeline. `links` are the pipeline universe (ids relabeled
 /// to positions, all of positive length); `boundary[i]` marks links ghosted
 /// into other shards; `owner_of[i]` is `(piece index, local vertex id)` of
-/// link `i`'s owned copy.
+/// link `i`'s owned copy; `want_budgets` asks the verification pass for
+/// [`PipelineOutcome::budgets`].
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn schedule_pieces(
     links: &[Link],
     pieces: &[ShardPieces],
@@ -146,6 +199,7 @@ pub(crate) fn schedule_pieces(
     owner_of: &[(u32, u32)],
     config: SchedulerConfig,
     strategy: VerifierStrategy,
+    want_budgets: bool,
     rec: &Recorder,
 ) -> PipelineOutcome {
     // One globally built cache (fixed assignment, noise-free) feeds every
@@ -258,11 +312,12 @@ pub(crate) fn schedule_pieces(
     // Phase 4: global verification.
     let verify_phase = rec.span("partition/verify");
     let mut classes: Vec<Vec<usize>> = vec![Vec::new(); coloring_slots];
-    for (i, &c) in colors.iter().enumerate() {
+    for (i, c) in colors.into_iter().enumerate() {
         classes[c].push(i);
     }
     let mut slots: Vec<Vec<usize>> = Vec::new();
     let mut evicted_links = 0usize;
+    let mut budgets: Option<Vec<f64>> = None;
     if !config.verify_slots {
         slots.extend(classes.into_iter().filter(|c| !c.is_empty()));
     } else if let Some(cache) = &global_cache {
@@ -270,16 +325,42 @@ pub(crate) fn schedule_pieces(
         let verifier = AffectanceVerifier::new(&config.model, links, powers, weights)
             .with_strategy(strategy)
             .with_recorder(rec);
+        let mut warm = want_budgets.then(|| vec![0.0f64; links.len()]);
+        let mut recomputes = 0u64;
         let mut all_evicted: Vec<usize> = Vec::new();
         for class in classes.into_iter().filter(|c| !c.is_empty()) {
-            let (kept, evicted) = verifier.evict_infeasible(&class);
+            let (kept, evicted, totals) = verifier.sweep(&class);
+            if let Some(warm) = &mut warm {
+                // A slot kept whole already carries its budgets; one that
+                // lost members is priced again without them.
+                let totals = if evicted.is_empty() || kept.is_empty() {
+                    totals
+                } else {
+                    recomputes += 1;
+                    verifier.budgets(&kept)
+                };
+                for (&i, b) in kept.iter().zip(totals) {
+                    warm[i] = b;
+                }
+            }
             if !kept.is_empty() {
                 slots.push(kept);
             }
             all_evicted.extend(evicted);
         }
         evicted_links = all_evicted.len();
-        slots.extend(verifier.pack_first_fit(&all_evicted));
+        let packed = verifier.pack_first_fit(&all_evicted);
+        if let Some(warm) = &mut warm {
+            for slot in &packed {
+                recomputes += 1;
+                for (&i, b) in slot.iter().zip(verifier.budgets(slot)) {
+                    warm[i] = b;
+                }
+            }
+            rec.add("partition.budget_recomputes", recomputes);
+        }
+        slots.extend(packed);
+        budgets = warm;
     } else {
         for class in classes.into_iter().filter(|c| !c.is_empty()) {
             slots.extend(split_class_into_feasible(links, &class, &config, None));
@@ -325,5 +406,6 @@ pub(crate) fn schedule_pieces(
         max_owned,
         mean_owned,
         ghost_fraction,
+        budgets,
     }
 }

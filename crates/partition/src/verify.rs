@@ -41,6 +41,13 @@
 //! `is_feasible_by_affectance` on the slot's links — under **every** strategy
 //! and pyramid depth, which is what the differential test battery pins.
 //!
+//! One per-target routine, [`AffectanceVerifier::budgets`], does all of
+//! this: it returns each target's total (the certified bound, or the exact
+//! fallback sum), and the verdict is `total ≤ 1/β`. The same totals are the
+//! warm-start repair budgets, so a verification sweep
+//! ([`AffectanceVerifier::sweep`]) hands its caller the budgets of every
+//! slot it kept whole without pricing any target twice.
+//!
 //! [`AffectanceVerifier::evict_infeasible`] exploits a monotonicity: every
 //! term of the affectance sum is non-negative, so removing members never
 //! hurts the remaining targets. One verification sweep therefore yields a
@@ -219,8 +226,11 @@ impl<'a> AffectanceVerifier<'a> {
     }
 
     /// The exact affectance total on `members[k]` from the rest of the
-    /// members (the `PathLossCache` kernel, same order, same verdict).
-    fn exact_total(&self, members: &[usize], k: usize) -> Option<f64> {
+    /// members (the `PathLossCache` kernel, same order, same verdict) — the
+    /// fallback of [`AffectanceVerifier::budgets`], and the reference
+    /// [`AffectanceVerifier::hierarchical_bound`] must upper-bound at every
+    /// pyramid depth.
+    pub fn exact_affectance(&self, members: &[usize], k: usize) -> Option<f64> {
         relative_interference_sum(
             self.pow,
             members,
@@ -229,13 +239,6 @@ impl<'a> AffectanceVerifier<'a> {
             |j| &self.links[j],
             |j| self.powers[j],
         )
-    }
-
-    /// The exact affectance total on `members[k]`, exposed for the
-    /// soundness test battery: [`AffectanceVerifier::hierarchical_bound`]
-    /// must upper-bound this at every pyramid depth.
-    pub fn exact_affectance(&self, members: &[usize], k: usize) -> Option<f64> {
-        self.exact_total(members, k)
     }
 
     /// The certified upper bound a `depth`-level pyramid computes for the
@@ -253,74 +256,28 @@ impl<'a> AffectanceVerifier<'a> {
         SlotPyramid::build(self, members, depth.max(1))?.certify(k, f64::INFINITY)
     }
 
-    fn exact_ok(&self, members: &[usize], k: usize) -> bool {
-        match self.exact_total(members, k) {
-            Some(total) => total <= self.inv_beta,
-            None => false,
-        }
-    }
-
-    /// Exact per-target verdicts (the reference kernel, used below the grid
-    /// cutoff and wherever the grid path cannot run).
-    fn exact_verdicts(&self, members: &[usize]) -> Vec<bool> {
-        let check = |k: usize| self.exact_ok(members, k);
-        #[cfg(feature = "parallel")]
-        {
-            (0..members.len()).into_par_iter().map(check).collect()
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            (0..members.len()).map(check).collect()
-        }
-    }
-
-    /// Per-target verdicts for one slot, `verdicts[k]` for `members[k]`.
-    fn verdicts(&self, members: &[usize]) -> Vec<bool> {
-        let all_powers_known = members.iter().all(|&i| self.powers[i].is_some());
-        if members.len() <= EXACT_CUTOFF || !all_powers_known {
-            return self.exact_verdicts(members);
-        }
-        let depth = self.strategy.requested_depth(members.len());
-        let Some(pyramid) = SlotPyramid::build(self, members, depth) else {
-            // All senders collocated — no useful binning; exact it is.
-            return self.exact_verdicts(members);
-        };
-        let check = |k: usize| match pyramid.certify(k, self.inv_beta) {
-            // Certified: the exact total is ≤ the bound ≤ 1/β. The target's
-            // own sender contributed at most extra non-negative aggregate
-            // terms, which only makes the certificate more conservative.
-            Some(total) if total <= self.inv_beta => true,
-            // The bound failed (or met a zero distance / unknown weight);
-            // only an exact sum can acquit.
-            _ => {
-                self.exact_fallbacks.add(1);
-                self.exact_ok(members, k)
-            }
-        };
-        #[cfg(feature = "parallel")]
-        {
-            (0..members.len()).into_par_iter().map(check).collect()
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            (0..members.len()).map(check).collect()
-        }
-    }
-
-    /// Per-target affectance budgets for one slot: `out[k]` upper-bounds the
-    /// exact affectance total on `members[k]` (`INFINITY` when the pair
-    /// terms cannot be priced). Values are the certified pyramid bound when
-    /// it already lands within `1/β` and the exact sum otherwise, so on a
-    /// feasible slot every budget is finite and within threshold. This is
-    /// the near-linear capture half of the warm-start repair contract
-    /// (`wagg_schedule::solve_repair`'s `prev_budgets`): conservative
-    /// upper bounds are sound — they only make repair fall back earlier.
+    /// Per-target affectance totals for one slot — the one routine behind
+    /// both the verification verdicts and the warm-start repair budgets.
+    /// `out[k]` upper-bounds the exact affectance total on `members[k]`:
+    /// the certified pyramid bound when it already lands within `1/β`, the
+    /// exact sum otherwise (`INFINITY` when the pair terms cannot be
+    /// priced), and `0.0` for a singleton. The verdict for `members[k]` is
+    /// `out[k] <= 1/β`, so on a feasible slot every budget is finite and
+    /// within threshold. As budgets these are the near-linear capture half
+    /// of the warm-start repair contract (`wagg_schedule::solve_repair`'s
+    /// `prev_budgets`): conservative upper bounds are sound — they only make
+    /// repair fall back earlier.
+    ///
+    /// Small slots (and slots with unknown member powers) skip the grid and
+    /// take the exact kernel for every target.
     pub fn budgets(&self, members: &[usize]) -> Vec<f64> {
         if members.len() <= 1 {
             return vec![0.0; members.len()];
         }
-        let exact = |k: usize| self.exact_total(members, k).unwrap_or(f64::INFINITY);
+        let exact = |k: usize| self.exact_affectance(members, k).unwrap_or(f64::INFINITY);
         let all_powers_known = members.iter().all(|&i| self.powers[i].is_some());
+        // `None` (small slot, unknown powers, or collocated senders with no
+        // useful binning) prices every target exactly.
         let pyramid = if members.len() <= EXACT_CUTOFF || !all_powers_known {
             None
         } else {
@@ -328,8 +285,17 @@ impl<'a> AffectanceVerifier<'a> {
         };
         let one = |k: usize| match &pyramid {
             Some(pyramid) => match pyramid.certify(k, self.inv_beta) {
+                // Certified: the exact total is ≤ the bound ≤ 1/β. The
+                // target's own sender contributed at most extra non-negative
+                // aggregate terms, which only makes the certificate more
+                // conservative.
                 Some(total) if total <= self.inv_beta => total,
-                _ => exact(k),
+                // The bound failed (or met a zero distance / unknown
+                // weight); only an exact sum can acquit.
+                _ => {
+                    self.exact_fallbacks.add(1);
+                    exact(k)
+                }
             },
             None => exact(k),
         };
@@ -346,7 +312,7 @@ impl<'a> AffectanceVerifier<'a> {
     /// Whether `members` can share a slot (singletons trivially can — the
     /// affectance sum over an empty interferer set is zero).
     pub fn set_feasible(&self, members: &[usize]) -> bool {
-        members.len() <= 1 || self.verdicts(members).into_iter().all(|ok| ok)
+        members.len() <= 1 || self.budgets(members).iter().all(|&t| t <= self.inv_beta)
     }
 
     /// One verification sweep over a slot: returns `(kept, evicted)` with
@@ -355,21 +321,28 @@ impl<'a> AffectanceVerifier<'a> {
     /// non-negative, the kept set remains feasible after the eviction, so
     /// `kept` always satisfies `is_feasible_by_affectance`.
     pub fn evict_infeasible(&self, members: &[usize]) -> (Vec<usize>, Vec<usize>) {
-        if members.len() <= 1 {
-            return (members.to_vec(), Vec::new());
-        }
-        let verdicts = self.verdicts(members);
+        let (kept, evicted, _) = self.sweep(members);
+        (kept, evicted)
+    }
+
+    /// [`AffectanceVerifier::evict_infeasible`] that also returns the
+    /// sweep's per-target totals (`totals[k]` for `members[k]`, see
+    /// [`AffectanceVerifier::budgets`]). When nothing was evicted they are
+    /// exactly `budgets(kept)`; after an eviction they still upper-bound the
+    /// kept members' totals, but `budgets(kept)` is tighter.
+    pub fn sweep(&self, members: &[usize]) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        let totals = self.budgets(members);
         let mut kept = Vec::with_capacity(members.len());
         let mut evicted = Vec::new();
-        for (k, &i) in members.iter().enumerate() {
-            if verdicts[k] {
+        for (&i, &t) in members.iter().zip(&totals) {
+            if t <= self.inv_beta {
                 kept.push(i);
             } else {
                 evicted.push(i);
             }
         }
         self.evictions.add(evicted.len() as u64);
-        (kept, evicted)
+        (kept, evicted, totals)
     }
 
     /// Packs `evicted` links into fresh slots, first-fit in non-increasing
@@ -832,6 +805,14 @@ mod tests {
                 let members: Vec<usize> = (0..n).collect();
                 let (kept, evicted) = verifier.evict_infeasible(&members);
                 assert_eq!(kept.len() + evicted.len(), n);
+                // The sweep's totals are the unified routine's, bit for bit.
+                let totals = verifier.budgets(&members);
+                let (swept_kept, swept_evicted, swept) = verifier.sweep(&members);
+                assert_eq!((&swept_kept, &swept_evicted), (&kept, &evicted));
+                assert!(totals
+                    .iter()
+                    .map(|t| t.to_bits())
+                    .eq(swept.iter().map(|t| t.to_bits())));
                 // Kept sets are genuinely feasible under the reference check.
                 assert!(
                     is_feasible_by_affectance(&model, &subset_links(&links, &kept), &power),
@@ -840,7 +821,8 @@ mod tests {
                 // And the sweep's verdicts agree with per-target reference sums.
                 let reference = PathLossCache::new(&model, &links, &power);
                 for (k, &i) in members.iter().enumerate() {
-                    let want = match reference.subset_relative_interference_on(&members, k) {
+                    let exact = reference.subset_relative_interference_on(&members, k);
+                    let want = match exact {
                         Some(t) => t <= 1.0 / model.beta(),
                         None => false,
                     };
@@ -849,7 +831,22 @@ mod tests {
                         want,
                         "target {i} verdict mismatch at n={n} spacing={spacing} {strategy:?}"
                     );
+                    // The unified routine: its verdict is `total ≤ 1/β`, and
+                    // the total upper-bounds the exact sum.
+                    assert_eq!(totals[k] <= 1.0 / model.beta(), want, "target {i} total");
+                    if let Some(exact) = exact {
+                        assert!(
+                            totals[k] >= exact - 1e-12 * exact.abs(),
+                            "target {i}: total {} < exact {exact} ({strategy:?})",
+                            totals[k]
+                        );
+                    }
                 }
+                // Budgets of the kept slot are within threshold.
+                assert!(verifier
+                    .budgets(&kept)
+                    .iter()
+                    .all(|&b| b <= 1.0 / model.beta()));
                 if evicted.is_empty() {
                     assert!(verifier.set_feasible(&members));
                 } else {

@@ -36,8 +36,6 @@ pub use repair::{
 };
 pub use report::{BackendKind, ShardingStats, SolveReport};
 pub use schedule::Schedule;
-#[allow(deprecated)]
-pub use scheduler::{schedule_links, schedule_mst};
 pub use scheduler::{
     schedule_prebuilt, schedule_prebuilt_traced, solve_static, solve_static_traced,
     split_class_into_feasible, ScheduleReport, SchedulerConfig,

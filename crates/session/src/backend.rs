@@ -284,18 +284,31 @@ impl WarmSchedule {
     }
 }
 
-/// Per-vertex warm budgets for a freshly recolored schedule, captured
-/// through the certified hierarchical verifier (near-linear per slot —
-/// certified upper bounds are exactly what the additive repair contract
-/// wants, and on a just-verified schedule every budget lands within `1/β`).
+/// Root span (no `/`, so `Metrics::root_nanos` counts it) around a full
+/// recolor's warm re-anchoring: budget capture where the backend prices
+/// them itself, and the [`WarmSchedule::capture`] of the new assignment.
+const ANCHOR_SPAN: &str = "warm_anchor";
+
+/// Per-vertex warm budgets for a freshly recolored schedule, captured slot
+/// by slot through the certified verifier under `strategy` (near-linear per
+/// slot — certified upper bounds are exactly what the additive repair
+/// contract wants, and on a just-verified schedule every budget lands
+/// within `1/β`). Only the engine backend's re-anchor prices budgets this
+/// way: its cold verification is the exact static kernel, which yields no
+/// reusable totals. The hinted sharded backend takes its budgets from the
+/// pipeline's own verification pass
+/// ([`PartitionedEngine::schedule_with_budgets`]) and calls this only as
+/// the debug-build oracle for them.
 fn recolor_budgets(
     config: &SchedulerConfig,
+    strategy: VerifierStrategy,
     links: &[Link],
     powers: &[Option<f64>],
     weights: &[Option<f64>],
     schedule: &wagg_schedule::Schedule,
 ) -> Vec<f64> {
-    let verifier = AffectanceVerifier::new(&config.model, links, powers, weights);
+    let verifier =
+        AffectanceVerifier::new(&config.model, links, powers, weights).with_strategy(strategy);
     let mut budgets = vec![0.0f64; links.len()];
     for slot in schedule.slots() {
         for (&i, b) in slot.iter().zip(verifier.budgets(slot)) {
@@ -408,8 +421,8 @@ fn move_node_in_map(links: &mut BTreeMap<u64, Link>, node: usize, to: Point) -> 
 }
 
 /// The from-scratch strategy: a key-ordered link map, scheduled by the
-/// static kernel per solve. Matches the legacy `schedule_links` entry point
-/// slot for slot (the differential suite pins this).
+/// static kernel per solve. Matches `wagg_schedule::solve_static` slot for
+/// slot (the differential suite pins this).
 #[derive(Debug)]
 pub struct StaticBackend {
     scheduler: SchedulerConfig,
@@ -782,12 +795,14 @@ impl EngineBackend {
         }
         let warm = self.warm.as_mut().expect("anchored above");
         warm.assert_matches_engine(&self.engine);
+        let anchor = self.engine.recorder().span(ANCHOR_SPAN);
         let budgets = if config.verify_slots
             && config.model.noise() == 0.0
             && config.mode.assignment().as_ref() == Some(&self.engine.config().power)
         {
             recolor_budgets(
                 &config,
+                VerifierStrategy::default(),
                 &warm.links,
                 &warm.powers,
                 &warm.weights,
@@ -797,6 +812,7 @@ impl EngineBackend {
             vec![0.0; report.num_links]
         };
         warm.sched = WarmSchedule::capture(&report, slots, budgets);
+        anchor.finish();
         self.dirty.clear();
         self.engine.recorder().add("repair.warm_recaptured", 1);
         let replaced = report.num_links;
@@ -1087,8 +1103,8 @@ enum ShardedInner {
 }
 
 /// The sharded strategy: conflict-radius tiling, independent per-shard
-/// colorings, boundary stitching and certified verification. Matches the
-/// legacy `schedule_sharded_with` entry point (rebuild mode) and
+/// colorings, boundary stitching and certified verification. Matches
+/// `wagg_partition::solve_sharded` (rebuild mode) and
 /// `PartitionedEngine::schedule` (hinted mode) slot for slot.
 #[derive(Debug)]
 pub struct ShardedBackend {
@@ -1336,33 +1352,44 @@ impl ShardedBackend {
         dirty_links: usize,
         drift: f64,
     ) -> SolveReport {
-        let (solve, budgets): (SolveReport, Vec<f64>) = match &self.inner {
-            ShardedInner::Engine {
-                engine,
+        let ShardedInner::Engine {
+            engine,
+            links,
+            powers,
+            weights,
+            ..
+        } = &self.inner
+        else {
+            unreachable!("hinted repair requires engine mode");
+        };
+        // The pipeline's verification pass yields the budgets — no second
+        // pyramid sweep over the schedule.
+        let (report, budgets) = engine.schedule_with_budgets();
+        let solve: SolveReport = report.into();
+        if let (true, Some(fused)) = (cfg!(debug_assertions), &budgets) {
+            // The per-slot capture through the session's strategy stays the
+            // oracle: the fused budgets must equal it bit for bit. Parts come
+            // from the persistent mirror — maintained per link at event
+            // time, equal to a from-scratch `PathLossCache::new` (pinned on
+            // the repair path).
+            let oracle = recolor_budgets(
+                &self.scheduler,
+                self.strategy,
                 links,
                 powers,
                 weights,
-                ..
-            } => {
-                let solve: SolveReport = engine.schedule().into();
-                let config = self.scheduler;
-                let budgets = match (config.model.noise() == 0.0)
-                    .then(|| config.mode.assignment())
-                    .flatten()
-                {
-                    Some(_) if config.verify_slots => {
-                        // Parts come from the persistent mirror — maintained
-                        // per link at event time, equal to a from-scratch
-                        // `PathLossCache::new` (pinned by the debug oracle
-                        // on the repair path).
-                        recolor_budgets(&config, links, powers, weights, &solve.report.schedule)
-                    }
-                    _ => vec![0.0; solve.report.num_links],
-                };
-                (solve, budgets)
-            }
-            ShardedInner::Rebuild { .. } => unreachable!("hinted repair requires engine mode"),
-        };
+                &solve.report.schedule,
+            );
+            assert!(
+                fused
+                    .iter()
+                    .map(|b| b.to_bits())
+                    .eq(oracle.iter().map(|b| b.to_bits())),
+                "pipeline budgets diverge from the per-slot capture"
+            );
+        }
+        let anchor = self.recorder.span(ANCHOR_SPAN);
+        let budgets = budgets.unwrap_or_else(|| vec![0.0; solve.report.num_links]);
         let slots = solve.report.schedule.len();
         let mut warm = WarmSchedule::capture(&solve.report, slots, budgets);
         // Remember this full solve's occupancy skew so subsequent
@@ -1371,6 +1398,7 @@ impl ShardedBackend {
             .sharding
             .map(|s| (s.max_owned, s.mean_owned, s.ghost_fraction));
         self.warm = Some(warm);
+        anchor.finish();
         self.dirty.clear();
         self.recorder.add("repair.warm_recaptured", 1);
         let replaced = solve.report.num_links;

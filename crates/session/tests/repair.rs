@@ -32,12 +32,13 @@ use proptest::prelude::*;
 use wagg_engine::{churn_trace, run_trace, EngineConfig, EngineTrace, InterferenceEngine};
 use wagg_geometry::{BoundingBox, Point};
 use wagg_instances::mobility::{random_waypoint, WaypointConfig};
+use wagg_partition::{AffectanceVerifier, VerifierStrategy};
 use wagg_schedule::{
     capture_budgets, BackendKind, CacheJudge, PowerMode, RepairDecision, SchedulerConfig,
     SlotJudge, SolveReport,
 };
 use wagg_session::{Backend, RepairPolicy, Session};
-use wagg_sinr::{Link, PathLossCache};
+use wagg_sinr::{Link, PathLossCache, SinrModel};
 
 fn modes() -> [PowerMode; 3] {
     [
@@ -282,6 +283,77 @@ proptest! {
                 }
             }
             assert_repaired_feasible(&mut session, config, &format!("sharded script end under {mode}"));
+        }
+    }
+
+    /// The cold solve's warm budgets come from the sharded pipeline's own
+    /// verification pass. A dense field under a high `β` makes that pass
+    /// evict and repack, so the pass must price those slots again. Under
+    /// every verifier strategy the stored budgets must equal, bit for bit,
+    /// the per-slot `AffectanceVerifier::budgets` of the committed schedule
+    /// under the session's strategy (the debug oracle in the backend checks
+    /// the same thing on every solve; this test also pins it in release).
+    #[test]
+    fn fused_warm_budgets_match_the_per_slot_capture(
+        seed in 1u64..5000,
+        n in 2000usize..3000,
+    ) {
+        let model = SinrModel::new(3.0, 6.0, 0.0).expect("valid model");
+        let config = SchedulerConfig::new(PowerMode::mean_oblivious()).with_model(model);
+        // About one link per 5 square units; slots then exceed the
+        // verifier's exact cutoff, so the strategies price differently.
+        let side = (n as f64 * 5.0).sqrt();
+        let mut rng = seed;
+        let links: Vec<Link> = (0..n)
+            .map(|i| {
+                let x = (xorshift(&mut rng) % 10_000) as f64 / 10_000.0 * side;
+                let y = (xorshift(&mut rng) % 10_000) as f64 / 10_000.0 * side;
+                let len = 1.0 + (xorshift(&mut rng) % 500) as f64 / 1000.0;
+                Link::new(i, Point::new(x, y), Point::new(x + len, y))
+            })
+            .collect();
+        for strategy in [
+            VerifierStrategy::default(),
+            VerifierStrategy::Flat,
+            VerifierStrategy::Hierarchical { depth: Some(3) },
+        ] {
+            let mut session = Session::builder()
+                .scheduler(config)
+                .backend(Backend::Sharded)
+                .target_shards(4)
+                .partition_hints(BoundingBox::new(-1.0, -1.0, side + 3.0, side + 1.0), (1.0, 1.5))
+                .verifier(strategy)
+                .repair(RepairPolicy::enabled())
+                .links(&links)
+                .build();
+            let solve = session.solve();
+            prop_assert_eq!(
+                solve.repair.expect("repair stats").decision,
+                RepairDecision::ColdStart
+            );
+            // Evictions mean the recompute branch ran: the slots that lost
+            // members and the repacked slots were priced again.
+            let evicted = solve.sharding.expect("sharding stats").evicted_links;
+            prop_assert!(evicted > 0, "no link was evicted under {:?}", strategy);
+            let links = session.links();
+            let assignment = config.mode.assignment().expect("pinned assignment");
+            let (powers, weights) =
+                PathLossCache::new(&config.model, &links, &assignment).into_parts();
+            let verifier = AffectanceVerifier::new(&config.model, &links, &powers, &weights)
+                .with_strategy(strategy);
+            let mut oracle = vec![0.0f64; links.len()];
+            for slot in solve.schedule().slots() {
+                for (&i, b) in slot.iter().zip(verifier.budgets(slot)) {
+                    oracle[i] = b;
+                }
+            }
+            let warm = session.warm_state().expect("hinted repair keeps warm state");
+            prop_assert!(
+                warm.budgets.iter().map(|b| b.to_bits()).eq(oracle.iter().map(|b| b.to_bits())),
+                "fused budgets diverge from the per-slot capture under {:?}",
+                strategy
+            );
+            assert_warm_matches_capture(&session, &solve, config, "fused budgets");
         }
     }
 
